@@ -731,18 +731,6 @@ impl Session {
         }
     }
 
-    /// Spawn a [`QueryService`] worker pool over a sharded `system`
-    /// deployment with `entity_shards` shards: workers take per-shard
-    /// warmup affinity and shard-parallel plans scatter per request.
-    pub fn serve_sharded(
-        &self,
-        system: SystemId,
-        entity_shards: usize,
-        workers: usize,
-    ) -> QueryService {
-        QueryService::start(self.load_sharded_shared(system, entity_shards), workers)
-    }
-
     /// Bulkload `system` and eagerly warm its shared store-resident
     /// indexes (element postings + `@id` attribute values) so no later
     /// query — or service request — pays an index build on its critical
@@ -757,25 +745,6 @@ impl Session {
     /// `system`.
     pub fn serve(&self, system: SystemId, workers: usize) -> QueryService {
         QueryService::start(self.load_shared(system), workers)
-    }
-
-    /// Bulkload `system` and wrap it as a [`VersionedStore`] — the entry
-    /// point for structural updates: [`VersionedStore::begin`] opens a
-    /// [`xmark_txn::Transaction`], and [`VersionedStore::snapshot`] pins
-    /// consistent read views while commits publish new epochs.
-    pub fn load_versioned(&self, system: SystemId) -> Arc<VersionedStore> {
-        VersionedStore::new(self.load_shared(system))
-    }
-
-    /// Spawn a [`QueryService`] whose workers resolve each request
-    /// against the *current* snapshot of `store` — reads keep flowing,
-    /// pinned per request, while transactions commit.
-    pub fn serve_versioned(&self, store: &Arc<VersionedStore>, workers: usize) -> QueryService {
-        QueryService::start_source(
-            Arc::clone(store) as Arc<dyn xmark_store::StoreSource>,
-            workers,
-            crate::service::DEFAULT_PLAN_CACHE,
-        )
     }
 
     /// Bulkload `system` and compile `text` against it once, returning a

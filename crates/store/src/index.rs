@@ -589,13 +589,22 @@ impl IndexManager {
 
     /// Every filled value slot `(signature, structure, bytes)` — what a
     /// commit filters through signature invalidation and carries forward.
+    ///
+    /// The map lock is released before any slot lock is taken:
+    /// [`IndexManager::value_or_build`] holds a slot lock across its
+    /// build, and a build may take the map lock again, so holding both
+    /// here in the opposite order would deadlock.
     pub fn built_values(&self) -> Vec<(String, Arc<dyn Any + Send + Sync>, usize)> {
-        lock(&self.values)
+        let slots: Vec<(String, Arc<ValueSlot>)> = lock(&self.values)
             .iter()
+            .map(|(sig, slot)| (sig.clone(), Arc::clone(slot)))
+            .collect();
+        slots
+            .into_iter()
             .filter_map(|(sig, slot)| {
-                let filled = lock(slot);
+                let filled = lock(&slot);
                 let (value, bytes) = filled.as_ref()?;
-                Some((sig.clone(), Arc::clone(value), *bytes))
+                Some((sig, Arc::clone(value), *bytes))
             })
             .collect()
     }
@@ -720,6 +729,51 @@ mod tests {
         let _ = manager.value_or_build("sig2", build).unwrap();
         let _ = manager.value_or_build("sig2", build).unwrap();
         assert_eq!(manager.builds(), 3, "non-persistent mode rebuilds");
+    }
+
+    #[test]
+    fn built_values_does_not_deadlock_against_a_nested_build() {
+        // Thread A builds slot "a"; its build nests a build of slot "b".
+        // Thread B lists the built values while A holds slot "a". Listing
+        // must not hold the map lock while it waits for slot "a", or A's
+        // nested build can never take the map lock.
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+
+        let manager = Arc::new(IndexManager::new());
+        let barrier = Arc::new(Barrier::new(2));
+        let (done, finished) = mpsc::channel();
+        let value = |n: usize| -> Result<_, std::convert::Infallible> {
+            Ok((Arc::new(n) as Arc<dyn Any + Send + Sync>, 8))
+        };
+
+        let builder = {
+            let (manager, barrier, done) = (manager.clone(), barrier.clone(), done.clone());
+            std::thread::spawn(move || {
+                let _ = manager.value_or_build("a", || {
+                    barrier.wait();
+                    std::thread::sleep(Duration::from_millis(100));
+                    let _ = manager.value_or_build("b", || value(2));
+                    value(1)
+                });
+                let _ = done.send("builder");
+            })
+        };
+        let lister = std::thread::spawn(move || {
+            barrier.wait();
+            let _ = manager.built_values();
+            let _ = done.send("lister");
+        });
+
+        for _ in 0..2 {
+            let who = finished.recv_timeout(Duration::from_secs(5));
+            assert!(
+                who.is_ok(),
+                "built_values deadlocked against a nested build"
+            );
+        }
+        builder.join().unwrap();
+        lister.join().unwrap();
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //! * **Byte identity** — for all twenty queries on every backend A–H,
 //!   draining a [`ResultStream`] yields exactly the sequence `execute`
 //!   returns, and `write_to` produces exactly the bytes
-//!   `serialize_sequence` produces from the materialized result.
+//!   `serialize_sequence` produces from the materialized result, every
+//!   drain at the same pull total.
 //! * **Early termination** — the stream's pull counter proves that
 //!   `exists()` / `take(n)` stop the operator cursors early: they pull
-//!   strictly fewer items than a full drain on real XMark queries, and an
+//!   strictly fewer items than a full drain on real XMark queries, an
 //!   existential predicate (`[bidder]`-shaped) stops at its first witness
-//!   instead of draining the axis.
+//!   instead of draining the axis, and `write_to` into a failing sink
+//!   stops right after the item it was writing, at every item offset.
 
 use xmark::prelude::*;
-use xmark::query::Compiled;
+use xmark::query::{Compiled, WriteError};
 use xmark::store::NaiveStore;
 
 fn compiled(store: &dyn XmlStore, text: &str) -> Compiled {
@@ -23,6 +25,8 @@ fn compiled(store: &dyn XmlStore, text: &str) -> Compiled {
 
 #[test]
 fn stream_matches_execute_on_all_twenty_queries_and_backends() {
+    // Every full drain — item by item, `collect_seq`, `write_to` — must
+    // reproduce `execute`'s bytes and report the same pull total.
     let doc = generate_document(0.002);
     for system in SystemId::EXTENDED {
         let store = build_store(system, &doc.xml).unwrap();
@@ -31,20 +35,29 @@ fn stream_matches_execute_on_all_twenty_queries_and_backends() {
             let c = compiled(store, q.text);
             let materialized = execute(&c, store).expect("query runs");
             let expected = serialize_sequence(store, &materialized);
+            let (_, item_pulls) = drain_counting(c.stream(store));
 
             // Draining the stream yields the same item sequence …
-            let streamed = c.stream(store).collect_seq().expect("stream runs");
+            let mut s = c.stream(store);
+            let streamed = s.collect_seq().expect("stream runs");
             assert_eq!(
                 serialize_sequence(store, &streamed),
                 expected,
                 "Q{} streamed items diverge on {system}",
                 q.number
             );
+            assert_eq!(
+                s.pulls(),
+                item_pulls,
+                "Q{} collect_seq pull total diverges on {system}",
+                q.number
+            );
 
             // … and sink serialization produces the same bytes without
-            // ever materializing the sequence.
+            // ever materializing the sequence, at the same pull total.
             let mut sunk = String::new();
-            let stats = c.write_to(store, &mut sunk).expect("write_to runs");
+            let mut s = c.stream(store);
+            let stats = s.write_to(&mut sunk).expect("write_to runs");
             assert_eq!(
                 sunk, expected,
                 "Q{} write_to bytes diverge on {system}",
@@ -52,6 +65,12 @@ fn stream_matches_execute_on_all_twenty_queries_and_backends() {
             );
             assert_eq!(stats.items, materialized.len());
             assert_eq!(stats.bytes, expected.len() as u64);
+            assert_eq!(
+                s.pulls(),
+                item_pulls,
+                "Q{} write_to pull total diverges on {system}",
+                q.number
+            );
         }
     }
 }
@@ -171,72 +190,13 @@ fn exists_function_pulls_at_most_one_item() {
 }
 
 #[test]
-fn batched_drain_is_byte_identical_at_every_capacity() {
-    // The vectorized core under the item facade: at every batch
-    // capacity — degenerate (1), misaligned (3), the join run (64) and
-    // the widest supported (256) — the batched drains must reproduce
-    // `execute`'s bytes exactly, and the pull counter must report the
-    // same items-delivered total as an item-at-a-time drain. A full
-    // drain has no early-termination boundary, so the totals are equal,
-    // not merely within one batch.
-    let doc = generate_document(0.002);
-    for system in SystemId::EXTENDED {
-        let store = build_store(system, &doc.xml).unwrap();
-        let store = store.as_ref();
-        for q in &ALL_QUERIES {
-            let c = compiled(store, q.text);
-            let materialized = execute(&c, store).expect("query runs");
-            let expected = serialize_sequence(store, &materialized);
-            let (_, item_pulls) = drain_counting(c.stream(store));
-
-            for cap in [1usize, 3, 64, 256] {
-                let mut s = c.stream(store).with_batch_size(cap);
-                let streamed = s.collect_seq().expect("stream runs");
-                assert_eq!(
-                    serialize_sequence(store, &streamed),
-                    expected,
-                    "Q{} batched items diverge on {system} at capacity {cap}",
-                    q.number
-                );
-                assert_eq!(
-                    s.pulls(),
-                    item_pulls,
-                    "Q{} batched drain pull total diverges on {system} at \
-                     capacity {cap}",
-                    q.number
-                );
-            }
-
-            // Sink serialization through the batched core, at the two
-            // extreme capacities.
-            for cap in [3usize, 256] {
-                let mut sunk = String::new();
-                let stats = c
-                    .stream(store)
-                    .with_batch_size(cap)
-                    .write_to(&mut sunk)
-                    .expect("write_to runs");
-                assert_eq!(
-                    sunk, expected,
-                    "Q{} batched write_to bytes diverge on {system} at \
-                     capacity {cap}",
-                    q.number
-                );
-                assert_eq!(stats.items, materialized.len());
-            }
-        }
-    }
-}
-
-#[test]
-fn half_consumed_stream_resumes_batched_from_the_item_offset() {
-    // Granularity switch mid-stream: pull a prefix through the item
-    // facade — leaving memoized inner cursors half-way through their
-    // shared sequences — then drain the rest batched. The resumed batch
-    // drain must continue from the facade's offset, not replay the memo
-    // from its start. The FLWOR body replays an absolute memoized path
-    // per binding, so every prefix length that is misaligned with the
-    // batch capacity lands inside a replayed sequence.
+fn half_consumed_stream_resumes_from_the_item_offset() {
+    // Pull a prefix item by item — leaving memoized inner cursors half-way
+    // through their shared sequences — then drain the rest with
+    // `collect_seq`. The drain must continue from the prefix's offset,
+    // not replay the memo from its start. The FLWOR body replays an
+    // absolute memoized path per binding, so every prefix length lands
+    // inside a replayed sequence.
     let doc = generate_document(0.002);
     let loaded = load_system(SystemId::D, &doc.xml);
     let store = loaded.store.as_ref();
@@ -246,62 +206,133 @@ fn half_consumed_stream_resumes_batched_from_the_item_offset() {
            return document("auction.xml")/site/regions//item/name/text()"#,
     );
     let all = execute(&c, store).unwrap();
-    assert!(
-        all.len() > 8,
-        "need a multi-item result to misalign against every capacity"
-    );
+    assert!(all.len() > 8, "need a multi-item result to split");
     let expected = serialize_sequence(store, &all);
 
-    for cap in [1usize, 3, 64, 256] {
-        for k in [1usize, 2, all.len() / 2, all.len() - 1] {
-            let mut s = c.stream(store).with_batch_size(cap);
-            let mut items = Vec::with_capacity(all.len());
-            for _ in 0..k {
-                items.push(
-                    s.next_item()
-                        .expect("prefix item exists")
-                        .expect("query runs"),
-                );
-            }
-            items.extend(s.collect_seq().expect("stream resumes batched"));
-            assert_eq!(
-                serialize_sequence(store, &items),
-                expected,
-                "prefix of {k} items then a capacity-{cap} batched drain \
-                 diverges from the materialized result"
+    for k in [1usize, 2, 3, all.len() / 2, all.len() - 1] {
+        let mut s = c.stream(store);
+        let mut items = Vec::with_capacity(all.len());
+        for _ in 0..k {
+            items.push(
+                s.next_item()
+                    .expect("prefix item exists")
+                    .expect("query runs"),
             );
         }
+        items.extend(s.collect_seq().expect("stream resumes"));
+        assert_eq!(
+            serialize_sequence(store, &items),
+            expected,
+            "prefix of {k} items then a drain diverges from the \
+             materialized result"
+        );
+    }
+}
+
+/// A sink that rejects every write.
+struct FailingSink;
+
+impl std::fmt::Write for FailingSink {
+    fn write_str(&mut self, _: &str) -> std::fmt::Result {
+        Err(std::fmt::Error)
     }
 }
 
 #[test]
-fn batch_capacity_never_widens_a_take_boundary_by_more_than_one_batch() {
-    // The early-termination bound, restated for configured capacities:
-    // `take(n)` / `exists()` ride the item facade, so a stream carrying
-    // any batch capacity may pull at most one batch beyond what the
-    // item-at-a-time boundary pulls — and must still pull strictly
-    // fewer items than a full drain.
+fn failing_sink_stops_write_to_after_the_first_item() {
+    // `write_to` serializes each item as soon as it is pulled, so a sink
+    // that rejects its first write ends the drain after exactly the
+    // pulls `take(1)` costs — on every backend.
     let doc = generate_document(0.002);
-    let loaded = load_system(SystemId::D, &doc.xml);
-    let store = loaded.store.as_ref();
-    let c = compiled(store, query(13).text);
-    let (items, full_pulls) = drain_counting(c.stream(store));
-    assert!(items > 1);
-    let boundary_pulls = pulls_after_taking(c.stream(store), 1);
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        let c = compiled(store, query(13).text);
+        let (items, _) = drain_counting(c.stream(store));
+        assert!(items > 1, "Q13 must have a multi-item result on {system}");
+        let first_pulls = pulls_after_taking(c.stream(store), 1);
 
-    for cap in [1usize, 3, 64, 256] {
-        let pulls = pulls_after_taking(c.stream(store).with_batch_size(cap), 1);
+        let mut s = c.stream(store);
+        let err = s.write_to(&mut FailingSink).expect_err("the sink fails");
         assert!(
-            pulls < full_pulls,
-            "capacity-{cap} stream pulled {pulls} items for one item — \
-             no fewer than the full drain's {full_pulls}"
+            matches!(err, WriteError::Sink(_)),
+            "expected a sink error on {system}, got {err}"
         );
+        assert_eq!(
+            s.pulls(),
+            first_pulls,
+            "write_to into a failing sink pulled {} items on {system}, \
+             take(1) pulls {first_pulls}",
+            s.pulls()
+        );
+    }
+}
+
+/// A sink that accepts `budget` bytes and rejects any write past them.
+struct BudgetSink {
+    out: String,
+    budget: usize,
+}
+
+impl std::fmt::Write for BudgetSink {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        if self.out.len() + s.len() > self.budget {
+            return Err(std::fmt::Error);
+        }
+        self.out.push_str(s);
+        Ok(())
+    }
+}
+
+#[test]
+fn write_to_never_pulls_past_the_item_it_is_writing() {
+    // The take boundary, restated for the sink drain: a sink that holds
+    // exactly the first `k` items' bytes fails on the separator before
+    // item `k + 1`, so `write_to` must stop at the pulls `take(k + 1)`
+    // costs — at every item offset, not only the first — having handed
+    // the sink exactly the first `k` items.
+    let doc = generate_document(0.002);
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        let c = compiled(store, query(13).text);
+        let all = execute(&c, store).expect("query runs");
         assert!(
-            pulls <= boundary_pulls + cap as u64,
-            "capacity-{cap} stream pulled {pulls} items for one item — \
-             more than one batch past the item-facade boundary \
-             ({boundary_pulls})"
+            all.len() > 1,
+            "Q13 must have a multi-item result on {system}"
         );
+
+        let mut offsets: Vec<usize> = (1..all.len().min(5)).collect();
+        offsets.push(all.len() - 1);
+        offsets.dedup();
+        for k in offsets {
+            let prefix = serialize_sequence(store, &all[..k]);
+            let mut sink = BudgetSink {
+                out: String::new(),
+                budget: prefix.len(),
+            };
+            let mut s = c.stream(store);
+            let err = s
+                .write_to(&mut sink)
+                .expect_err("the sink overflows on item k + 1");
+            assert!(
+                matches!(err, WriteError::Sink(_)),
+                "expected a sink error on {system} at offset {k}, got {err}"
+            );
+            assert_eq!(
+                sink.out, prefix,
+                "the sink holds other bytes than the first {k} items on {system}"
+            );
+            let boundary = pulls_after_taking(c.stream(store), k + 1);
+            assert_eq!(
+                s.pulls(),
+                boundary,
+                "write_to stopped at offset {k} after {} pulls on {system}, \
+                 take({}) pulls {boundary}",
+                s.pulls(),
+                k + 1
+            );
+        }
     }
 }
 

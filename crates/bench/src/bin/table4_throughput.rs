@@ -19,10 +19,10 @@
 //! served from sharded union deployments of 1, 2, …, N entity shards
 //! (System A in-memory, System H with one cold-opened page file and a
 //! fixed **per-shard** frame budget per shard — scale-out adds memory
-//! with machines). Shard-parallel plans scatter one thread per shard
-//! part and merge; under `--smoke` the sweep asserts the sharded H
-//! deployment beats (multi-core) or stays near (single-core guard) the
-//! one-shard baseline.
+//! with machines). Every request streams through the union view, whose
+//! cursors merge the shards in document order; under `--smoke` the
+//! sweep asserts the sharded H deployment beats the one-shard baseline
+//! on hosts with at least four cores.
 //!
 //! `--write-pct N` adds a mixed closed loop: the same reader pool drains
 //! the query mix from MVCC snapshots while a writer lane commits roughly
@@ -146,11 +146,11 @@ fn main() {
          scaling up to the physical core count, and ~1x on a single core)"
     );
 
-    // ---- shard sweep (--shards N): scatter-gather scale-out -------------
+    // ---- shard sweep (--shards N): union-view scale-out -----------------
     // The same document partitioned over 1, 2, …, N entity shards plus
     // the global head, served by the same worker pool with request
     // batching. System A shards are in-memory (the sweep isolates the
-    // scatter/merge overhead and the multi-core win); System H shards are
+    // cost of merging shard cursors in the union view); System H shards are
     // per-shard page files opened **cold** with a fixed frame budget per
     // shard — a scale-out deployment adds buffer-pool memory with every
     // machine, so the sharded aggregate hit rate beats one frame-starved
@@ -364,12 +364,11 @@ fn main() {
              by >=1.3x (measured {index_speedup:.2}x)"
         );
         // Scale-out contract: on a multi-core box the sharded H
-        // deployment must beat the one-shard baseline outright (parallel
-        // scatter + aggregate pool memory). A single-core container
-        // cannot honor a QPS floor — the per-request scatter threads are
-        // pure overhead when there is nothing to run them on — so there
-        // the sweep asserts only that every shard count completed (the
-        // service already panics on any cross-shard result divergence).
+        // deployment must beat the one-shard baseline outright (aggregate
+        // pool memory across the shards). Hosts with fewer cores give a
+        // noisy QPS ratio, so there the sweep asserts only that every
+        // shard count completed (the service already panics on any
+        // query failure).
         if cores >= 4 {
             assert!(
                 shard_scaling >= 1.0,
@@ -384,7 +383,7 @@ fn main() {
         }
         println!(
             "\nsmoke: service layer + plan cache + persistent indexes \
-             + shard scatter-gather exercised — OK"
+             + sharded union view exercised — OK"
         );
     }
 }

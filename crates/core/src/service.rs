@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use xmark_query::{compile, execute_scattered, Compiled};
+use xmark_query::{compile, Compiled};
 use xmark_store::sync::lock;
 use xmark_store::{IndexStats, StoreSource, SystemId, XmlStore};
 
@@ -354,12 +354,12 @@ impl QueryService {
         let job_rx = Arc::new(Mutex::new(job_rx));
         let (result_tx, result_rx) = mpsc::channel::<RequestMeasurement>();
         let handles = (0..workers)
-            .map(|worker| {
+            .map(|_| {
                 let source = Arc::clone(&source);
                 let cache = Arc::clone(&cache);
                 let job_rx = Arc::clone(&job_rx);
                 let result_tx = result_tx.clone();
-                thread::spawn(move || worker_loop(worker, &*source, &cache, &job_rx, &result_tx))
+                thread::spawn(move || worker_loop(&*source, &cache, &job_rx, &result_tx))
             })
             .collect();
         QueryService {
@@ -652,26 +652,11 @@ impl std::fmt::Write for ByteSink {
 }
 
 fn worker_loop(
-    worker: usize,
     source: &dyn StoreSource,
     cache: &PlanCache,
     jobs: &Mutex<mpsc::Receiver<Job>>,
     results: &mpsc::Sender<RequestMeasurement>,
 ) {
-    // Per-shard warmup affinity: on a sharded union every worker eagerly
-    // builds the store-walk indexes of *its* shard part (round-robin by
-    // worker id), so warmup cost is spread across the pool instead of
-    // paid serially inside the first scattered request. Monolithic
-    // stores skip this — explicit warmup stays `build_indexes`.
-    {
-        let snap = source.snapshot();
-        let parts = snap.shard_part_count();
-        if parts >= 2 {
-            if let Some(part) = snap.shard_part(worker % parts) {
-                part.indexes().build_all(part);
-            }
-        }
-    }
     loop {
         // Hold the lock only for the dequeue, never during execution.
         let job = lock(jobs).recv();
@@ -708,24 +693,15 @@ fn worker_loop(
                 }
             };
             let mut sink = ByteSink::default();
-            let items = if store.shard_part_count() >= 2 {
-                // Sharded union: scatter the plan across the shard parts
-                // (shard-parallel modes run one thread per part, gather
-                // plans fall through) and serialize the merged result.
-                let seq = execute_scattered(&compiled, store.as_ref())
-                    .unwrap_or_else(|e| panic!("Q{number} failed to execute: {e}"));
-                let _ = xmark_query::write_sequence(store.as_ref(), &seq, &mut sink);
-                seq.len()
-            } else {
-                // Monolithic: stream — `write_to` serializes items
-                // straight off the operator cursors into the sink, no
-                // materialized result sequence — and the sink's
-                // first-write timestamp is the client-visible TTFB.
-                let stats = xmark_query::stream(&compiled, store.as_ref())
-                    .write_to(&mut sink)
-                    .unwrap_or_else(|e| panic!("Q{number} failed to execute: {e}"));
-                stats.items
-            };
+            // Stream: `write_to` serializes items straight off the
+            // operator cursors into the sink, no materialized result
+            // sequence — and the sink's first-write timestamp is the
+            // client-visible TTFB. A sharded union streams the same way:
+            // its cursors merge the shards in document order.
+            let items = xmark_query::stream(&compiled, store.as_ref())
+                .write_to(&mut sink)
+                .unwrap_or_else(|e| panic!("Q{number} failed to execute: {e}"))
+                .items;
             let latency = start.elapsed();
             if results
                 .send(RequestMeasurement {
@@ -946,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_scatters_and_matches_monolithic() {
+    fn sharded_service_streams_and_matches_monolithic() {
         let session = crate::spec::Benchmark::at_factor(0.001).generate();
         let mono = session.load(SystemId::A);
         // Reference: cardinality + canonical output per query, sequential.
@@ -956,7 +932,6 @@ mod tests {
             .map(|&q| canonical_output(mono.store.as_ref(), q))
             .collect();
         let sharded = session.load_sharded_shared(SystemId::A, 2);
-        assert!(sharded.shard_part_count() >= 2, "union exposes its parts");
         let service = QueryService::start(Arc::clone(&sharded), 2);
         let report = service.run_mix_batched(&mix, 9, 3);
         assert_eq!(report.requests, 9);

@@ -183,13 +183,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Execute the plan body, materializing the whole result — equivalent
-    /// to draining [`crate::stream::ResultStream`].
-    pub fn run(&self, plan: &'a PhysicalPlan) -> EResult<Sequence> {
-        let mut env = Env::default();
-        self.eval(&plan.body, &mut env, None)
-    }
-
     /// Items pulled through operator cursors so far (see
     /// [`crate::stream::ResultStream::pulls`]).
     pub fn pulls(&self) -> u64 {
@@ -432,10 +425,6 @@ impl<'a> Evaluator<'a> {
         ctx: Option<&Item>,
     ) -> EResult<JoinIndex> {
         let source = self.eval(src, env, ctx)?;
-        #[cfg(feature = "parallel")]
-        if let Some(map) = self.parallel_join_build(var, key_expr, &source, env, ctx)? {
-            return Ok(map);
-        }
         let mut map: JoinIndex = HashMap::with_capacity(source.len());
         for (i, item) in source.into_iter().enumerate() {
             env.push(var, Arc::new(vec![item.clone()]));
@@ -448,105 +437,6 @@ impl<'a> Evaluator<'a> {
             }
         }
         Ok(map)
-    }
-
-    /// Intra-query parallel build: partition the build side across a
-    /// scoped thread pool, each worker computing its partition's
-    /// canonical key lists with its own forked evaluator (this type is
-    /// `!Sync` by design — per-execution memos are plain `Cell`s), then
-    /// merge in partition order so the resulting index is byte-identical
-    /// to the sequential build. Compiled only under the `parallel`
-    /// feature so the single-core benchmark container keeps the exact
-    /// sequential execution profile; returns `None` (sequential
-    /// fallback) for small builds or single-core hosts.
-    #[cfg(feature = "parallel")]
-    fn parallel_join_build(
-        &self,
-        var: &'a str,
-        key_expr: &'a PlanExpr,
-        source: &[Item],
-        env: &Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<Option<JoinIndex>> {
-        /// Below this many build items the per-thread setup dominates.
-        const MIN_PARALLEL_BUILD: usize = 256;
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let workers = workers.min(source.len() / MIN_PARALLEL_BUILD).min(8);
-        if workers < 2 {
-            return Ok(None);
-        }
-        let chunk = source.len().div_ceil(workers);
-        let store = self.store;
-        let functions = &self.functions;
-        let results: Vec<EResult<(Vec<Vec<String>>, u64)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = source
-                .chunks(chunk)
-                .map(|part| {
-                    let mut env = env.clone();
-                    let ctx = ctx.cloned();
-                    scope.spawn(move || {
-                        let ev = Evaluator::fork(store, functions.clone());
-                        let mut keys = Vec::with_capacity(part.len());
-                        for item in part {
-                            env.push(var, Arc::new(vec![item.clone()]));
-                            let evaluated = ev.eval(key_expr, &mut env, ctx.as_ref());
-                            env.pop();
-                            let canon: Vec<String> = evaluated?
-                                .iter()
-                                .filter_map(|key| canonical_key(&atomize(store, key)))
-                                .collect();
-                            keys.push(canon);
-                        }
-                        Ok((keys, ev.pulls()))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        let mut map: JoinIndex = HashMap::with_capacity(source.len());
-        let mut i = 0usize;
-        for res in results {
-            let (keys, pulls) = res?;
-            // Workers counted pulls on their own forks; fold them back so
-            // the probe totals match the sequential build exactly.
-            self.count_pulls(pulls);
-            for canon in keys {
-                for canonical in canon {
-                    map.entry(canonical)
-                        .or_default()
-                        .push((i, source[i].clone()));
-                }
-                i += 1;
-            }
-        }
-        Ok(Some(map))
-    }
-
-    /// A fresh evaluator for a parallel worker: same store, same plan
-    /// functions, but private per-execution memos and `shared_values`
-    /// off — workers never write the store-resident value slots, the
-    /// parent publishes the merged result once.
-    #[cfg(feature = "parallel")]
-    fn fork(store: &'a dyn XmlStore, functions: HashMap<&'a str, &'a PlanFunction>) -> Self {
-        Evaluator {
-            store,
-            indexes: store.indexes(),
-            shared_values: false,
-            functions,
-            path_cache: RefCell::new(HashMap::new()),
-            index_cache: RefCell::new(HashMap::new()),
-            key_cache: RefCell::new(HashMap::new()),
-            element_index: std::cell::OnceCell::new(),
-            child_values_cache: RefCell::new(HashMap::new()),
-            pulls: Cell::new(0),
-            streamed_paths: RefCell::new(HashSet::new()),
-        }
     }
 
     /// Per-item canonical key lists for the probe side, memoized like the
@@ -982,7 +872,7 @@ impl<'a> Evaluator<'a> {
 
     /// Execute a planned ID probe: the access path behind every
     /// mass-storage system's Q1. Returns `None` (falling back to the
-    /// generic cursor) if the store turns out not to index IDs.
+    /// generic cursor) when the step does not test a tag name.
     pub(crate) fn id_probe(
         &self,
         current: &[Item],
@@ -992,10 +882,7 @@ impl<'a> Evaluator<'a> {
         let NodeTest::Tag(tag) = &step.test else {
             return Ok(None);
         };
-        let Some(hit) = self.store.lookup_id(literal) else {
-            return Ok(None); // No ID index after all: evaluate generically.
-        };
-        let Some(node) = hit else {
+        let Some(node) = self.store.lookup_id(literal) else {
             return Ok(Some(Vec::new()));
         };
         // Verify the hit is the right tag and actually below the context.

@@ -47,9 +47,14 @@
 //! [`write_to`](stream::ResultStream::write_to)) loop the same `next()`
 //! the early-terminating fast paths use, so every drain of a query
 //! reports the same [`pulls`](stream::ResultStream::pulls) total and
-//! `write_to` emits the first item as soon as it is pulled. The opt-in
-//! `parallel` feature forks hash-join build sides across threads
-//! without reordering probe output.
+//! `write_to` emits the first item as soon as it is pulled.
+//!
+//! **One execution path.** Every store, sharded or not, runs a query
+//! the same way: [`stream()`] through the store's axis cursors. A
+//! [`xmark_store::ShardedStore`] presents its shards as one document —
+//! its cursors merge the shards in document order and its counts add
+//! per-shard partial counts — so a sharded query needs no executor of
+//! its own.
 //!
 //! * [`parse`] — parser producing the [`ast`] (FLWOR, paths, constructors,
 //!   quantifiers, the `<<` node-order operator, user-defined functions),
@@ -145,7 +150,6 @@ pub mod parse;
 pub mod plan;
 pub mod planner;
 pub mod result;
-pub mod scatter;
 pub mod stream;
 pub mod verify;
 
@@ -155,8 +159,12 @@ pub use compile::{
 pub use eval::{ebv, EvalError, Evaluator};
 pub use explain::explain_plan;
 pub use parse::{parse_query, ParseError};
-pub use plan::{shard_mode, PhysicalPlan, PlanMode, ShardMode};
-pub use scatter::execute_scattered;
+pub use plan::{PhysicalPlan, PlanMode};
+
+/// Kept only for the repository benchmark (`perfbench`), which imports
+/// this name; it is plain [`execute`].
+#[doc(hidden)]
+pub use compile::execute as execute_scattered;
 
 pub use result::{
     atomize, canonicalize, serialize_sequence, write_item, write_sequence, IoSink, Item, Sequence,

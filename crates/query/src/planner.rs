@@ -71,13 +71,11 @@ pub fn plan_query(
         })
         .collect();
     let body = planner.plan_expr(&query.body);
-    let shard = shard_mode(&body);
     (
         PhysicalPlan {
             functions,
             body,
             mode,
-            shard,
         },
         planner.stats,
     )

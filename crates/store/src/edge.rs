@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn id_index_supports_q1() {
         let s = store();
-        let hit = s.lookup_id("person0").unwrap().unwrap();
+        let hit = s.lookup_id("person0").unwrap();
         assert_eq!(s.tag_of(hit), Some("person"));
     }
 

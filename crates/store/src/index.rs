@@ -692,7 +692,7 @@ mod tests {
         assert!(manager.hits() >= 1);
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(first.len(), 3);
-        assert_eq!(first.get("person0"), store.lookup_id("person0").unwrap());
+        assert_eq!(first.get("person0"), store.lookup_id("person0"));
     }
 
     #[test]

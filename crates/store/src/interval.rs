@@ -440,13 +440,13 @@ mod tests {
     #[test]
     fn both_variants_answer_id_lookups_via_the_shared_index() {
         let (e, f) = both();
-        let hit = e.lookup_id("person0").unwrap().unwrap();
+        let hit = e.lookup_id("person0").unwrap();
         assert_eq!(e.tag_of(hit), Some("person"));
         // F has no *architectural* ID index (the planner still scans for
         // Q1), but the shared store-layer attribute index answers direct
         // lookups on it too.
-        assert_eq!(f.lookup_id("person0").unwrap(), Some(hit));
-        assert_eq!(f.lookup_id("ghost").unwrap(), None);
+        assert_eq!(f.lookup_id("person0"), Some(hit));
+        assert_eq!(f.lookup_id("ghost"), None);
         assert!(!f.planner_caps().id_index);
     }
 

@@ -228,9 +228,9 @@ mod tests {
         let store = NaiveStore::load(SAMPLE).unwrap();
         assert!(!store.planner_caps().id_index);
         assert_eq!(store.indexes().builds(), 0, "nothing built eagerly");
-        let hit = store.lookup_id("person0").unwrap().unwrap();
+        let hit = store.lookup_id("person0").unwrap();
         assert_eq!(store.tag_of(hit), Some("person"));
-        assert_eq!(store.lookup_id("ghost").unwrap(), None);
+        assert_eq!(store.lookup_id("ghost"), None);
         assert_eq!(store.indexes().builds(), 1, "one lazy build, then reuse");
     }
 

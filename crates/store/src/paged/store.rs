@@ -894,7 +894,7 @@ mod tests {
         let people = h.descendants_named(h.root(), "people")[0];
         assert_eq!(h.children_named(people, "person").len(), 1);
         assert_eq!(h.descendants_named(people, "name").len(), 1);
-        let hit = h.lookup_id("person0").unwrap().unwrap();
+        let hit = h.lookup_id("person0").unwrap();
         assert_eq!(h.tag_of(hit), Some("person"));
         assert_eq!(h.compile_step("item"), 2);
         assert_eq!(h.compile_step("ghost"), 0);

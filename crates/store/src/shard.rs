@@ -22,9 +22,12 @@
 //!   **partial-aggregate combine**: per-shard counts summed, each answered
 //!   by whatever summary/extent arithmetic the shard backend has,
 //! * the union owns its own [`IndexManager`], so id lookups, element
-//!   postings and the query layer's shared join build sides ("broadcast"
-//!   build sides — built once against the whole view, probed by every
-//!   shard-local task) work unchanged.
+//!   postings and the query layer's shared join build sides work
+//!   unchanged.
+//!
+//! A query therefore runs on the union exactly as on a monolithic store:
+//! the query layer streams it through these cursors, with no per-shard
+//! executor of its own.
 //!
 //! The per-shard *section elements* (`<people>` in shard 2, say) are
 //! shadowed: they are never surfaced as nodes of the union; their fused
@@ -355,33 +358,6 @@ impl XmlStore for ShardedStore {
         self.shards.iter().map(|s| s.content_epoch()).sum()
     }
 
-    fn shard_count(&self) -> usize {
-        self.entity_shards()
-    }
-
-    fn shard_of(&self, n: Node) -> Option<usize> {
-        match self.locate(n) {
-            Loc::In(k, _) => {
-                let shard = self.segs[k].shard as usize;
-                // Shard 0 is the shared global head — not an entity shard.
-                shard.checked_sub(1)
-            }
-            _ => None,
-        }
-    }
-
-    fn shard_part_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_part(&self, part: usize) -> Option<&dyn XmlStore> {
-        self.shards.get(part).map(|s| s.as_ref())
-    }
-
-    fn shard_part_global(&self, part: usize, local: Node) -> Option<Node> {
-        self.global_of(part, local)
-    }
-
     fn tag_of(&self, n: Node) -> Option<&str> {
         match self.locate(n) {
             Loc::Root => Some(&self.root_tag),
@@ -653,7 +629,7 @@ mod tests {
         let u = union();
         let whole = EdgeStore::load(WHOLE).unwrap();
         assert_eq!(u.node_count(), whole.node_count());
-        assert_eq!(u.shard_count(), 2);
+        assert_eq!(u.entity_shards(), 2);
     }
 
     #[test]
@@ -716,7 +692,7 @@ mod tests {
     #[test]
     fn global_of_inverts_locate_for_every_node() {
         let u = union();
-        assert_eq!(u.shard_part_count(), 3);
+        assert_eq!(u.shard_stores().count(), u.entity_shards() + 1);
         for g in 0..u.node_count() as u32 {
             let n = Node(g);
             match u.locate(n) {
@@ -728,35 +704,38 @@ mod tests {
                 }
                 Loc::Section(s) => {
                     for j in 0..u.shards.len() {
-                        assert_eq!(u.shard_part_global(j, Node(u.sec_local[j][s])), Some(n));
+                        assert_eq!(u.global_of(j, Node(u.sec_local[j][s])), Some(n));
                     }
                 }
                 Loc::In(k, l) => {
                     let j = u.segs[k].shard as usize;
-                    assert_eq!(u.shard_part_global(j, l), Some(n));
+                    assert_eq!(u.global_of(j, l), Some(n));
                 }
             }
         }
         // Out-of-range locals and parts map to nothing.
         assert_eq!(u.global_of(0, Node(u32::MAX)), None);
         assert_eq!(u.global_of(17, Node(0)), None);
-        // Monolithic stores expose no parts.
-        let whole = EdgeStore::load(WHOLE).unwrap();
-        assert_eq!(whole.shard_part_count(), 0);
-        assert!(whole.shard_part(0).is_none());
-        assert_eq!(whole.shard_part_global(0, Node(0)), None);
     }
 
     #[test]
-    fn shard_of_reports_entity_owners() {
+    fn entities_map_back_to_their_owning_shard() {
         let u = union();
-        let people = u.descendants_named(u.root(), "person");
-        assert_eq!(u.shard_of(people[0]), Some(0));
-        assert_eq!(u.shard_of(people[1]), Some(1));
-        assert_eq!(u.shard_of(people[2]), Some(1));
-        let item = u.descendants_named(u.root(), "item")[0];
-        assert_eq!(u.shard_of(item), None); // global head
-        assert_eq!(u.shard_of(u.root()), None);
+        // The shard store holding an entity's id maps it onto the same
+        // union node (shard 0 is the global head).
+        let owner = |id: &str| {
+            let g = u.lookup_id(id).unwrap();
+            u.shard_stores()
+                .enumerate()
+                .filter_map(|(j, s)| s.lookup_id(id).map(|l| (j, l)))
+                .inspect(|&(j, l)| assert_eq!(u.global_of(j, l), Some(g)))
+                .map(|(j, _)| j)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(owner("person0"), [1]);
+        assert_eq!(owner("person1"), [2]);
+        assert_eq!(owner("person2"), [2]);
+        assert_eq!(owner("item0"), [0]);
     }
 
     #[test]
@@ -773,11 +752,11 @@ mod tests {
     #[test]
     fn lookup_id_spans_all_shards() {
         let u = union();
-        let p2 = u.lookup_id("person2").unwrap().unwrap();
+        let p2 = u.lookup_id("person2").unwrap();
         assert_eq!(u.attribute(p2, "id").as_deref(), Some("person2"));
-        let item = u.lookup_id("item0").unwrap().unwrap();
+        let item = u.lookup_id("item0").unwrap();
         assert_eq!(u.tag_of(item), Some("item"));
-        assert_eq!(u.lookup_id("nope").unwrap(), None);
+        assert_eq!(u.lookup_id("nope"), None);
     }
 
     #[test]

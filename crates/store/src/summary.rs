@@ -461,9 +461,9 @@ mod tests {
     #[test]
     fn id_index_answers_q1_shape() {
         let s = store();
-        let hit = s.lookup_id("person0").unwrap().unwrap();
+        let hit = s.lookup_id("person0").unwrap();
         assert_eq!(s.tag_of(hit), Some("person"));
-        assert_eq!(s.lookup_id("ghost").unwrap(), None);
+        assert_eq!(s.lookup_id("ghost"), None);
     }
 
     #[test]

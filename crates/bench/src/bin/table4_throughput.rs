@@ -148,8 +148,8 @@ fn main() {
 
     // ---- shard sweep (--shards N): union-view scale-out -----------------
     // The same document partitioned over 1, 2, …, N entity shards plus
-    // the global head, served by the same worker pool with request
-    // batching. System A shards are in-memory (the sweep isolates the
+    // the global head, served by the same worker pool, one request per
+    // job. System A shards are in-memory (the sweep isolates the
     // cost of merging shard cursors in the union view); System H shards are
     // per-shard page files opened **cold** with a fixed frame budget per
     // shard — a scale-out deployment adds buffer-pool memory with every
@@ -164,10 +164,9 @@ fn main() {
     }
     let shard_workers = *sweep.last().expect("non-empty sweep");
     const SHARD_POOL: usize = 12; // frames per shard node
-    let shard_batch = mix.len().max(2);
     println!(
-        "\nshard sweep (counts {shard_counts:?}, {shard_workers} worker(s), batches of \
-         {shard_batch}, H pool {SHARD_POOL} frames/shard):"
+        "\nshard sweep (counts {shard_counts:?}, {shard_workers} worker(s), \
+         H pool {SHARD_POOL} frames/shard):"
     );
     let mut shard_table = TextTable::new(&["System", "shards", "QPS", "worst p95", "pool hit"]);
     let mut h_shard_qps: Vec<(usize, f64)> = Vec::new();
@@ -182,11 +181,11 @@ fn main() {
                 (_, n) => session.load_sharded_shared(system, n),
             };
             let service = QueryService::start(Arc::clone(&store), shard_workers);
-            service.run_mix_batched(&mix, mix.len(), shard_batch); // warm plans + indexes
+            service.run_mix(&mix, mix.len()); // warm plans + indexes
             let pool_before = store.paged_stats();
             let mut best: Option<ThroughputReport> = None;
             for _ in 0..3 {
-                let report = service.run_mix_batched(&mix, requests, shard_batch);
+                let report = service.run_mix(&mix, requests);
                 if best.as_ref().is_none_or(|b| report.qps() > b.qps()) {
                     best = Some(report);
                 }

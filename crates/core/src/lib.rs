@@ -25,19 +25,20 @@
 //!
 //! ## Streaming results
 //!
-//! Execution is pull-based end to end: [`spec::Session::stream`] (and
-//! [`spec::PreparedQuery::stream`]) open a cursor over the physical plan
-//! whose `take(n)` / `exists()` / `count()` fast paths stop executing as
-//! soon as the answer is known, and `write_to(sink)` serializes item by
-//! item into any `fmt::Write` (or `io::Write` via `IoSink`) without
-//! materializing the result. `execute()` remains as the materializing
+//! Execution is pull-based end to end: a query compiled once with
+//! [`spec::Session::prepare`] opens a fresh cursor over the physical
+//! plan per call ([`spec::PreparedQuery::stream`]); its `take(n)` /
+//! `exists()` / `count()` fast paths stop executing as soon as the
+//! answer is known, and `write_to(sink)` serializes item by item into
+//! any `fmt::Write` (or `io::Write` via `IoSink`) without materializing
+//! the result. `execute()` remains as the materializing
 //! wrapper — byte-identical, just eager.
 //!
 //! ```
 //! use xmark::prelude::*;
 //!
 //! let session = Benchmark::at_scale("mini").generate();
-//! let people = session.stream(SystemId::E, "/site/people/person");
+//! let people = session.prepare(SystemId::E, "/site/people/person");
 //! assert!(people.exists());          // pulls one person, stops
 //! let preview = people.take(10);     // pulls ten, stops
 //! assert_eq!(preview.len(), 10);
@@ -141,7 +142,7 @@ pub mod prelude {
     pub use crate::spec::{
         canonical_output, generate_document, load_system, measure_query, open_paged,
         open_paged_versioned, scale, Benchmark, BenchmarkReport, GeneratedDocument, LoadedStore,
-        PreparedQuery, QueryMeasurement, QueryStream, Scale, Session, SCALES,
+        PreparedQuery, QueryMeasurement, Scale, Session, SCALES,
     };
     pub use xmark_gen::{generate_split, generate_string, Generator, GeneratorConfig, AUCTION_DTD};
     pub use xmark_query::{

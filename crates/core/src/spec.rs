@@ -385,67 +385,6 @@ impl PreparedQuery {
     }
 }
 
-/// A reusable streaming handle over one (store, compiled query) pair,
-/// produced by [`Session::stream`]. Each accessor opens a fresh pull over
-/// the prepared plan; nothing is materialized unless the consumer drains.
-///
-/// ```
-/// use xmark::prelude::*;
-///
-/// let session = Benchmark::at_scale("mini").generate();
-/// let people = session.stream(SystemId::G, "/site/people/person");
-/// assert!(people.exists());            // pulls one person, stops
-/// let first_two = people.take(2);      // pulls two, stops
-/// assert_eq!(first_two.len(), 2);
-/// ```
-pub struct QueryStream {
-    prepared: PreparedQuery,
-}
-
-impl QueryStream {
-    /// A fresh pull-based iterator over the results.
-    pub fn iter(&self) -> ResultStream<'_> {
-        self.prepared.stream()
-    }
-
-    /// At most the first `n` items (see [`PreparedQuery::take`]).
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn take(&self, n: usize) -> Sequence {
-        self.prepared.take(n)
-    }
-
-    /// Whether any result item exists — pulls at most one.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn exists(&self) -> bool {
-        self.prepared.exists()
-    }
-
-    /// The result cardinality, draining without keeping items.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn count(&self) -> usize {
-        self.prepared.count()
-    }
-
-    /// Serialize everything into `sink` (see [`PreparedQuery::write_to`]).
-    ///
-    /// # Panics
-    /// Panics on evaluation errors or sink failures.
-    pub fn write_to<W: fmt::Write + ?Sized>(&self, sink: &mut W) -> StreamStats {
-        self.prepared.write_to(sink)
-    }
-
-    /// The underlying prepared query (plan, stats, store).
-    pub fn prepared(&self) -> &PreparedQuery {
-        &self.prepared
-    }
-}
-
 // ---- the session façade ----------------------------------------------------
 
 /// Builder-style entry point for a benchmark session.
@@ -765,17 +704,6 @@ impl Session {
         verify_plan_against(&query, &compiled.plan, store)
     }
 
-    /// Bulkload `system`, compile `text`, and return a reusable streaming
-    /// handle: [`QueryStream::iter`] opens a fresh pull-based
-    /// [`ResultStream`] per call, and the `take`/`exists`/`count`/
-    /// `write_to` fast paths stop executing as soon as the answer is
-    /// known.
-    pub fn stream(&self, system: SystemId, text: &str) -> QueryStream {
-        QueryStream {
-            prepared: self.prepare(system, text),
-        }
-    }
-
     /// Bulkload `system`, compile `text`, and serialize the whole result
     /// into `sink` item by item (one item per line) without materializing
     /// it. Returns the item/byte counts.
@@ -1001,20 +929,20 @@ mod tests {
     }
 
     #[test]
-    fn session_stream_handle_round_trips() {
+    fn session_prepared_handle_round_trips() {
         let session = Benchmark::at_factor(0.001).generate();
-        let stream = session.stream(SystemId::G, "/site/people/person");
-        assert!(stream.exists());
-        let two = stream.take(2);
+        let people = session.prepare(SystemId::G, "/site/people/person");
+        assert!(people.exists());
+        let two = people.take(2);
         assert_eq!(two.len(), 2);
-        assert_eq!(stream.count(), stream.prepared().execute().len());
+        assert_eq!(people.count(), people.execute().len());
         let mut direct = String::new();
         let stats = session.write_to(SystemId::G, "/site/people/person", &mut direct);
-        assert_eq!(stats.items, stream.count());
+        assert_eq!(stats.items, people.count());
         assert!(stats.bytes > 0 && direct.len() as u64 == stats.bytes);
         // Iterator access yields the same first item as take(1).
-        let first = stream.iter().next().unwrap().unwrap();
-        assert_eq!(vec![first], stream.take(1));
+        let first = people.stream().next().unwrap().unwrap();
+        assert_eq!(vec![first], people.take(1));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use xmark_store::{ChildValues, DescendantsNamed, IndexManager, Node, XmlStore};
@@ -128,8 +128,11 @@ pub struct Evaluator<'a> {
     /// memos below remain as a lock-free first level either way.
     shared_values: bool,
     functions: HashMap<&'a str, &'a PlanFunction>,
-    /// Memo for loop-invariant absolute paths — the materialization every
-    /// system in the paper performs before joining.
+    /// Per-execution (L1) memo for loop-invariant paths, keyed by the
+    /// planner's memo signatures — the materialization every system in
+    /// the paper performs before joining. Filled by [`Evaluator::eval_path`]
+    /// and by a streaming open that drains to completion (the tee in
+    /// [`crate::stream`]); every later open replays the shared sequence.
     path_cache: RefCell<HashMap<String, Arc<Sequence>>>,
     /// Per-execution (L1) memo for IndexLookup indexes and HashJoin build
     /// sides, keyed by the planner's signatures. Populated from the
@@ -151,13 +154,6 @@ pub struct Evaluator<'a> {
     /// `exists()`/`take(n)` must pull strictly fewer items than a full
     /// evaluation.
     pulls: Cell<u64>,
-    /// Memoized-path signatures already opened by a streaming cursor
-    /// this execution. A second open proves the loop-invariant path is
-    /// being re-evaluated (an inner FLWOR clause restarted per outer
-    /// binding), at which point it materializes into `path_cache`; first
-    /// opens stay lazy so one-shot top-level paths keep their
-    /// time-to-first-item.
-    streamed_paths: RefCell<HashSet<String>>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -179,7 +175,6 @@ impl<'a> Evaluator<'a> {
             element_index: std::cell::OnceCell::new(),
             child_values_cache: RefCell::new(HashMap::new()),
             pulls: Cell::new(0),
-            streamed_paths: RefCell::new(HashSet::new()),
         }
     }
 
@@ -667,61 +662,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Note a streaming open of the memoized path `sig`, returning
-    /// whether it had been opened before this execution — the signal that
-    /// the loop-invariant path is being re-evaluated and should
-    /// materialize into the cache instead of re-walking the store.
-    pub(crate) fn note_streamed_path(&self, sig: &str) -> bool {
-        !self.streamed_paths.borrow_mut().insert(sig.to_string())
-    }
-
-    /// Materializing step-by-step path evaluation — the fallback the
-    /// streaming path cursor uses when its ordering invariants do not
-    /// hold (multi-item bases).
-    pub(crate) fn eval_path_uncached(
-        &self,
-        p: &'a PathPlan,
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<Sequence> {
-        let steps = &p.steps;
-        let (mut current, start_index) = self.root_base(p, env, ctx)?;
-
-        let mut i = start_index;
-        while i < steps.len() {
-            let step = &steps[i];
-
-            // Planned shortcut: `…/tag/text()` tail answered from inlined
-            // entity columns (System C) or the shared child-value index.
-            // Falls back to the generic steps if not covered.
-            if i + 2 == steps.len() {
-                if let Some(tag) = &p.inlined_tail {
-                    if let Some(shortcut) = self.try_inlined_tail(&current, tag)? {
-                        return Ok(shortcut);
-                    }
-                }
-                if let Some(tag) = &p.value_tail {
-                    if let Some(shortcut) = self.try_value_tail(&current, tag)? {
-                        return Ok(shortcut);
-                    }
-                }
-            }
-
-            // Planned shortcut: `tag[@id = "…"]` via the store's ID index.
-            if let StepAccess::IdProbe(literal) = &step.access {
-                if let Some(rewritten) = self.id_probe(&current, step, literal)? {
-                    current = rewritten;
-                    i += 1;
-                    continue;
-                }
-            }
-
-            current = self.apply_step(&current, step, env, ctx)?;
-            i += 1;
-        }
-        Ok(current)
-    }
-
     /// Resolve a path's base items and the index of the first unapplied
     /// step (the root base consumes its first step specially: the first
     /// step matches against the root *element* itself).
@@ -821,34 +761,6 @@ impl<'a> Evaluator<'a> {
         resolved
     }
 
-    /// `…/tag/text()` over the shared typed child-value index. `None`
-    /// when the index is unavailable — the generic two-step expansion
-    /// remains the fallback. The index holds the real text *nodes*, so
-    /// the rewrite is invisible even to node-order operators; a
-    /// monotonicity guard bails out to the generic steps on the exotic
-    /// context sets (nested or duplicated nodes) where the generic
-    /// expansion would re-sort and deduplicate across contexts.
-    pub(crate) fn try_value_tail(&self, current: &[Item], tag: &str) -> EResult<Option<Sequence>> {
-        let Some(values) = self.child_values(tag, true) else {
-            return Ok(None);
-        };
-        let mut out = Vec::new();
-        let mut last: Option<u32> = None;
-        for item in current {
-            let Item::Node(n) = item else {
-                return Err(EvalError::PathOverNonNode);
-            };
-            for &id in values.get(*n) {
-                if last.is_some_and(|l| id <= l) {
-                    return Ok(None);
-                }
-                last = Some(id);
-                out.push(Item::Node(Node(id)));
-            }
-        }
-        Ok(Some(out))
-    }
-
     /// `…/tag/text()` over inlined columns. Returns `Some` only if *every*
     /// context node could be answered from the entity tables.
     pub(crate) fn try_inlined_tail(
@@ -870,24 +782,16 @@ impl<'a> Evaluator<'a> {
         Ok(Some(out))
     }
 
-    /// Execute a planned ID probe: the access path behind every
-    /// mass-storage system's Q1. Returns `None` (falling back to the
-    /// generic cursor) when the step does not test a tag name.
-    pub(crate) fn id_probe(
-        &self,
-        current: &[Item],
-        step: &'a PlanStep,
-        literal: &str,
-    ) -> EResult<Option<Sequence>> {
-        let NodeTest::Tag(tag) = &step.test else {
-            return Ok(None);
-        };
+    /// Execute a planned `tag[@id = "…"]` probe over the context set:
+    /// the access path behind every mass-storage system's Q1. The
+    /// planner emits it only on tag tests (verifier V1).
+    pub(crate) fn id_probe(&self, current: &[Item], tag: &str, literal: &str) -> Sequence {
         let Some(node) = self.store.lookup_id(literal) else {
-            return Ok(Some(Vec::new()));
+            return Vec::new();
         };
         // Verify the hit is the right tag and actually below the context.
         if self.store.tag_of(node) != Some(tag) {
-            return Ok(Some(Vec::new()));
+            return Vec::new();
         }
         let reachable = current.iter().any(|item| match item {
             Item::Node(c) => {
@@ -910,11 +814,11 @@ impl<'a> Evaluator<'a> {
             }
             _ => false,
         });
-        Ok(Some(if reachable {
+        if reachable {
             vec![Item::Node(node)]
         } else {
             Vec::new()
-        }))
+        }
     }
 
     /// Apply one step to a whole context sequence: per-context expansion

@@ -54,7 +54,11 @@
 //! [`xmark_store::ShardedStore`] presents its shards as one document —
 //! its cursors merge the shards in document order and its counts add
 //! per-shard partial counts — so a sharded query needs no executor of
-//! its own.
+//! its own. Every path expression likewise runs through one PathScan
+//! operator: a base that yields several items (a variable bound to a
+//! node sequence, a comma sequence, a predicated `//tag[…]`) flows
+//! through the same stage pipeline as a single node, with its steps
+//! buffered and merged in document order because its nodes may nest.
 //!
 //! * [`parse`] — parser producing the [`ast`] (FLWOR, paths, constructors,
 //!   quantifiers, the `<<` node-order operator, user-defined functions),

@@ -27,7 +27,9 @@
 //!   re-sorted into document order, which needs the whole step result.
 //!   The cursor tracks this statically — child steps from non-nested
 //!   contexts stay lazy, descendant steps mark their output as
-//!   potentially nested.
+//!   potentially nested, and so does a multi-item base (a variable
+//!   bound to several nodes, a comma sequence, a predicated `//tag[…]`),
+//!   which may hold duplicate or nested nodes in any order.
 //!
 //! # One pull granularity
 //!
@@ -78,7 +80,7 @@ pub(crate) enum Cursor<'a> {
     /// An error to report once, then fused.
     Failed(Option<EvalError>),
     /// A fully materialized sequence (scalar expressions, blocking
-    /// operators, fallbacks).
+    /// operators).
     Materialized(std::vec::IntoIter<Item>),
     /// A shared sequence streamed without cloning the vector (variable
     /// bindings, path-memo hits).
@@ -136,21 +138,11 @@ impl<'a> Cursor<'a> {
                     if let Some(cached) = ev.cached_path(sig) {
                         return Cursor::Shared(cached, 0);
                     }
-                    // A second open within one execution proves the
-                    // loop-invariant path is being re-evaluated (an inner
-                    // clause restarted per outer binding): materialize it
-                    // into the path cache so every later open replays the
-                    // sequence instead of re-walking the store. First
-                    // opens stay lazy — a one-shot top-level path keeps
-                    // its time-to-first-item — but tee what they emit, so
+                    // A miss stays lazy — a one-shot top-level path keeps
+                    // its time-to-first-item — but tees what it emits, so
                     // one complete drain publishes the materialization
-                    // for every later execution against this store.
-                    if ev.note_streamed_path(sig) {
-                        return match ev.eval_path(p, env, ctx) {
-                            Ok(seq) => Cursor::Materialized(seq.into_iter()),
-                            Err(e) => Cursor::Failed(Some(e)),
-                        };
-                    }
+                    // and every later open, in this execution or a later
+                    // one against this store, replays it.
                     return Cursor::Tee {
                         sig,
                         inner: Box::new(path_cursor(ev, p, env, ctx, false)),
@@ -257,7 +249,8 @@ pub(crate) fn flwor_cursor<'a>(
 
 /// Where a streaming path's items originate.
 enum PathSource<'a> {
-    /// Materialized base items (single-item bases, root-child firsts).
+    /// Materialized base items (variable, context and expression bases,
+    /// root-child firsts).
     Items(std::vec::IntoIter<Item>),
     /// `//tag` from the document root, streamed off the store's
     /// descendant cursor (the root element itself may match first).
@@ -308,9 +301,9 @@ enum Stage<'a> {
         out: Option<std::vec::IntoIter<Item>>,
     },
     /// Planned `tag[@id = "…"]` probe over the whole upstream context
-    /// set, with generic fallback when the store has no ID index.
+    /// set.
     IdProbe {
-        step: &'a PlanStep,
+        tag: &'a str,
         literal: &'a str,
         out: Option<std::vec::IntoIter<Item>>,
     },
@@ -347,10 +340,10 @@ pub(crate) struct PathCursor<'a> {
 
 impl<'a> PathCursor<'a> {
     /// Lower a path plan into a cursor. Bases are resolved eagerly (they
-    /// are at most one item on every streaming-relevant shape); when the
-    /// base is a multi-item sequence the ordering invariants cannot be
-    /// assumed and the whole path falls back to the materializing
-    /// evaluator.
+    /// are at most one item on every streaming-relevant shape); a
+    /// multi-item base may hold duplicate or nested context nodes, so it
+    /// flows as `nested` and its steps lower to blocking stages that
+    /// merge in document order.
     fn build(
         ev: &Evaluator<'a>,
         p: &'a PathPlan,
@@ -389,16 +382,11 @@ impl<'a> PathCursor<'a> {
             }
             _ => {
                 let (items, start_index) = ev.root_base(p, env, ctx)?;
-                if items.len() > 1 {
-                    // Multi-item base: ordering/nesting unknown — fall
-                    // back to the materializing step loop wholesale.
-                    let result = ev.eval_path_uncached(p, env, ctx)?;
-                    ev.count_pulls(result.len() as u64);
-                    return Ok(Cursor::Materialized(result.into_iter()));
-                }
                 // A zero-or-one-item base cannot contain an
-                // ancestor/descendant pair.
-                (PathSource::Items(items.into_iter()), start_index, false)
+                // ancestor/descendant pair; a longer one may hold nested
+                // or duplicate nodes in any order.
+                let nested = items.len() > 1;
+                (PathSource::Items(items.into_iter()), start_index, nested)
             }
         };
 
@@ -434,9 +422,9 @@ impl<'a> PathCursor<'a> {
                     }
                 }
             }
-            if let StepAccess::IdProbe(literal) = &step.access {
+            if let (StepAccess::IdProbe(literal), NodeTest::Tag(tag)) = (&step.access, &step.test) {
                 stages.push(Stage::IdProbe {
-                    step,
+                    tag: tag.as_str(),
                     literal: literal.as_str(),
                     out: None,
                 });
@@ -544,7 +532,7 @@ fn pull_through<'a>(
             };
             iter.next().map(Ok)
         }
-        Stage::IdProbe { step, literal, out } => {
+        Stage::IdProbe { tag, literal, out } => {
             let iter = match out {
                 Some(iter) => iter,
                 None => {
@@ -552,15 +540,7 @@ fn pull_through<'a>(
                         Ok(c) => c,
                         Err(e) => return Some(Err(e)),
                     };
-                    let result = match ev.id_probe(&current, step, literal) {
-                        Ok(Some(seq)) => seq,
-                        // No ID index after all: evaluate generically.
-                        Ok(None) => match ev.apply_step(&current, step, env, ctx) {
-                            Ok(seq) => seq,
-                            Err(e) => return Some(Err(e)),
-                        },
-                        Err(e) => return Some(Err(e)),
-                    };
+                    let result = ev.id_probe(&current, tag, literal);
                     ev.count_pulls(result.len() as u64);
                     out.insert(result.into_iter())
                 }

@@ -405,15 +405,10 @@ pub trait XmlStore: Send + Sync {
         out
     }
 
-    /// Append the string value of `n` to `out`.
+    /// Append the string value of `n` to `out`. The default is
+    /// [`string_value_walk`].
     fn string_value_into(&self, n: Node, out: &mut String) {
-        if let Some(t) = self.text(n) {
-            out.push_str(t);
-            return;
-        }
-        for child in self.children_iter(n) {
-            self.string_value_into(child, out);
-        }
+        string_value_walk(self, n, out)
     }
 
     /// Serialize the subtree rooted at `n` as XML text (Q13
@@ -427,36 +422,10 @@ pub trait XmlStore: Send + Sync {
     /// [`fmt::Write`] sink — the primitive behind the query layer's
     /// streaming `write_to` serialization: result bytes flow to the sink
     /// item by item instead of accumulating in one output `String`. The
-    /// default reconstructs through the streaming cursors — which is
-    /// precisely the cost the paper says Q13 measures.
+    /// default, [`serialize_walk`], reconstructs through the streaming
+    /// cursors — which is precisely the cost the paper says Q13 measures.
     fn serialize_node_to(&self, n: Node, out: &mut dyn fmt::Write) -> fmt::Result {
-        if let Some(t) = self.text(n) {
-            return xmark_xml::escape::escape_text_to(t, out);
-        }
-        let tag = self.tag_of(n).expect("serialize of non-node");
-        out.write_char('<')?;
-        out.write_str(tag)?;
-        for (name, value) in self.attributes_iter(n) {
-            out.write_char(' ')?;
-            out.write_str(name)?;
-            out.write_str("=\"")?;
-            xmark_xml::escape::escape_attr_to(value, out)?;
-            out.write_char('"')?;
-        }
-        let mut children = self.children_iter(n);
-        match children.next() {
-            None => out.write_str("/>"),
-            Some(first) => {
-                out.write_char('>')?;
-                self.serialize_node_to(first, out)?;
-                for child in children {
-                    self.serialize_node_to(child, out)?;
-                }
-                out.write_str("</")?;
-                out.write_str(tag)?;
-                out.write_char('>')
-            }
-        }
+        serialize_walk(self, n, out)
     }
 
     // ---- compile-phase hooks (Table 2) -----------------------------------
@@ -494,6 +463,60 @@ pub trait XmlStore: Send + Sync {
         StepEstimate {
             rows: self.compile_step(tag) as u64,
             exact: self.planner_caps().exact_statistics,
+        }
+    }
+}
+
+/// The generic string-value walk: a text node's text, else the
+/// children's string values in order. The default of
+/// [`XmlStore::string_value_into`]; the recursion re-enters
+/// `store.string_value_into`, so a store that overrides it for some
+/// subtrees (an MVCC snapshot delegating unmodified ones to its base)
+/// keeps that override below a node it walks generically.
+pub fn string_value_walk<S: XmlStore + ?Sized>(store: &S, n: Node, out: &mut String) {
+    if let Some(t) = store.text(n) {
+        out.push_str(t);
+        return;
+    }
+    for child in store.children_iter(n) {
+        store.string_value_into(child, out);
+    }
+}
+
+/// The generic serialization walk through the navigation cursors. The
+/// default of [`XmlStore::serialize_node_to`]; like
+/// [`string_value_walk`], its recursion re-enters
+/// `store.serialize_node_to`.
+pub fn serialize_walk<S: XmlStore + ?Sized>(
+    store: &S,
+    n: Node,
+    out: &mut dyn fmt::Write,
+) -> fmt::Result {
+    if let Some(t) = store.text(n) {
+        return xmark_xml::escape::escape_text_to(t, out);
+    }
+    let tag = store.tag_of(n).expect("serialize of non-node");
+    out.write_char('<')?;
+    out.write_str(tag)?;
+    for (name, value) in store.attributes_iter(n) {
+        out.write_char(' ')?;
+        out.write_str(name)?;
+        out.write_str("=\"")?;
+        xmark_xml::escape::escape_attr_to(value, out)?;
+        out.write_char('"')?;
+    }
+    let mut children = store.children_iter(n);
+    match children.next() {
+        None => out.write_str("/>"),
+        Some(first) => {
+            out.write_char('>')?;
+            store.serialize_node_to(first, out)?;
+            for child in children {
+                store.serialize_node_to(child, out)?;
+            }
+            out.write_str("</")?;
+            out.write_str(tag)?;
+            out.write_char('>')
         }
     }
 }

@@ -10,16 +10,19 @@
 //! unmodified; in dirty regions they either walk the overlay generically
 //! or answer `None`, which the query layer's established outer-`None`
 //! contract turns into a generic fallback. Serialization and string
-//! values are *not* overridden: the trait defaults recurse through the
-//! overlay's cursors, which is exactly what keeps cross-backend
-//! byte-identity intact under updates.
+//! values follow the same gate: a clean subtree goes to the base's own
+//! implementation (on backend H a sequential page scan that fills no
+//! per-node cache), a dirty one walks the overlay's cursors with the
+//! trait's generic walk, which re-enters the gate for every child — so
+//! cross-backend byte-identity holds under updates.
 
+use std::fmt;
 use std::sync::Arc;
 
 use xmark_store::paged::{LogManager, PoolStats};
 use xmark_store::{
-    AttrIter, ChildIter, ChildrenNamed, DescendantsNamed, IndexManager, Node, PlannerCaps,
-    PositionSpec, SystemId, XmlStore,
+    serialize_walk, string_value_walk, AttrIter, ChildIter, ChildrenNamed, DescendantsNamed,
+    IndexManager, Node, PlannerCaps, PositionSpec, SystemId, XmlStore,
 };
 
 use crate::delta::DeltaState;
@@ -191,6 +194,18 @@ impl XmlStore for SnapshotStore {
         self.base.attributes_iter(n)
     }
 
+    fn attributes(&self, n: Node) -> Vec<(String, String)> {
+        if let Some(node) = self.delta.inserted.get(&n.0) {
+            return node.attrs.clone();
+        }
+        if let Some(list) = self.delta.attr_over.get(&n.0) {
+            return list.to_vec();
+        }
+        // The base's owned form: backend H reads it off pinned pages
+        // without filling its borrow-compat attribute cache.
+        self.base.attributes(n)
+    }
+
     fn children_named_iter<'a>(&'a self, n: Node, tag: &'a str) -> ChildrenNamed<'a> {
         if !self.delta.is_delta(n.0) && !self.delta.children_over.contains_key(&n.0) {
             return self.base.children_named_iter(n, tag);
@@ -230,6 +245,20 @@ impl XmlStore for SnapshotStore {
             return self.base.count_descendants_named(n, tag);
         }
         self.walk_descendants(n, tag).len()
+    }
+
+    fn string_value_into(&self, n: Node, out: &mut String) {
+        if self.delta.subtree_clean(n) {
+            return self.base.string_value_into(n, out);
+        }
+        string_value_walk(self, n, out)
+    }
+
+    fn serialize_node_to(&self, n: Node, out: &mut dyn fmt::Write) -> fmt::Result {
+        if self.delta.subtree_clean(n) {
+            return self.base.serialize_node_to(n, out);
+        }
+        serialize_walk(self, n, out)
     }
 
     fn begin_compile(&self) {

@@ -337,23 +337,136 @@ fn write_to_never_pulls_past_the_item_it_is_writing() {
 }
 
 #[test]
-fn session_stream_facade_short_circuits() {
-    // The façade surface: Session::stream wires the same fast paths.
+fn session_prepare_facade_short_circuits() {
+    // The façade surface: Session::prepare wires the same fast paths.
     let session = Benchmark::at_scale("mini").generate();
-    let people = session.stream(SystemId::D, "/site/people/person");
+    let people = session.prepare(SystemId::D, "/site/people/person");
     assert!(people.exists());
     let two = people.take(2);
     assert_eq!(two.len(), 2);
-    assert_eq!(people.count(), people.prepared().execute().len());
+    assert_eq!(people.count(), people.execute().len());
 
     let mut sunk = String::new();
     let stats = people.write_to(&mut sunk);
     assert_eq!(stats.items, people.count());
     assert_eq!(
         sunk,
-        serialize_sequence(
-            people.prepared().store().as_ref(),
-            &people.prepared().execute()
-        )
+        serialize_sequence(people.store().as_ref(), &people.execute())
     );
+}
+
+/// Path expressions over a multi-item base — a variable bound to several
+/// nodes, a comma sequence with duplicate and nested contexts, a
+/// predicated `//tag[…]` first step — paired with an equivalent query
+/// whose path starts from a single node.
+const MULTI_ITEM_BASES: [(&str, &str); 5] = [
+    (
+        "let $p := /site/people/person return $p/name/text()",
+        "/site/people/person/name/text()",
+    ),
+    (
+        "let $x := (/site/regions, /site/regions/europe) return $x//item/name/text()",
+        "/site/regions//item/name/text()",
+    ),
+    (
+        r#"let $s := (/site/people, /site) return $s/person[@id = "person0"]/name/text()"#,
+        r#"/site/people/person[@id = "person0"]/name/text()"#,
+    ),
+    (
+        "let $a := /site//open_auction return $a/bidder[1]/increase/text()",
+        "/site/open_auctions/open_auction/bidder[1]/increase/text()",
+    ),
+    (
+        "//item[payment]/name/text()",
+        "/site//item[payment]/name/text()",
+    ),
+];
+
+#[test]
+fn multi_item_bases_match_their_single_path_equivalents() {
+    // A multi-item base runs through the same PathScan cursor as a
+    // single node, its steps buffered and merged in document order: the
+    // bytes match the single-path form on every backend and plan mode,
+    // and every drain reports one pull total.
+    let doc = generate_document(0.002);
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        for mode in [PlanMode::Optimized, PlanMode::Naive] {
+            for (multi, single) in MULTI_ITEM_BASES {
+                let c = compile_with_mode(multi, store, mode).expect("query compiles");
+                let expected = serialize_sequence(
+                    store,
+                    &execute(&compile_with_mode(single, store, mode).unwrap(), store).unwrap(),
+                );
+                assert!(!expected.is_empty(), "{single} is empty on {system}");
+                // Materializing first warms the shared memos, so the
+                // drains below all replay the same state.
+                let materialized = execute(&c, store).expect("query runs");
+                assert_eq!(
+                    serialize_sequence(store, &materialized),
+                    expected,
+                    "{multi} diverges from {single} on {system} ({mode:?})"
+                );
+                let (items, item_pulls) = drain_counting(c.stream(store));
+                assert_eq!(items, materialized.len());
+
+                let mut s = c.stream(store);
+                let streamed = s.collect_seq().expect("stream runs");
+                assert_eq!(serialize_sequence(store, &streamed), expected);
+                assert_eq!(
+                    s.pulls(),
+                    item_pulls,
+                    "{multi}: collect_seq pull total diverges on {system} ({mode:?})"
+                );
+
+                let mut sunk = String::new();
+                let mut s = c.stream(store);
+                s.write_to(&mut sunk).expect("write_to runs");
+                assert_eq!(sunk, expected, "{multi}: write_to bytes on {system}");
+                assert_eq!(
+                    s.pulls(),
+                    item_pulls,
+                    "{multi}: write_to pull total diverges on {system} ({mode:?})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_multi_item_base_is_evaluated_once() {
+    // A path over an expression base pays for the base once: exactly
+    // the pulls of binding the same expression with `let` first and
+    // stepping from the variable, on every backend and plan mode.
+    let doc = generate_document(0.002);
+    let bases = [
+        "(/site/people/person, /site/people/person[1])",
+        "(for $p in /site/people/person return $p)",
+        "//person[profile]",
+    ];
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        for mode in [PlanMode::Optimized, PlanMode::Naive] {
+            for base in bases {
+                let direct = format!("{base}/name/text()");
+                let bound = format!("let $b := {base} return $b/name/text()");
+                let run = |text: &str| {
+                    let c = compile_with_mode(text, store, mode).expect("query compiles");
+                    let bytes = serialize_sequence(store, &execute(&c, store).unwrap());
+                    let (_, pulls) = drain_counting(c.stream(store));
+                    (bytes, pulls)
+                };
+                let (direct_bytes, direct_pulls) = run(&direct);
+                let (bound_bytes, bound_pulls) = run(&bound);
+                assert_eq!(direct_bytes, bound_bytes, "{direct} on {system}");
+                assert_eq!(
+                    direct_pulls, bound_pulls,
+                    "{direct} pulled {direct_pulls} items on {system} ({mode:?}), \
+                     the let-bound form {bound_pulls}"
+                );
+            }
+        }
+    }
 }

@@ -171,6 +171,50 @@ fn updated_stores_answer_queries_byte_identically_across_backends() {
     }
 }
 
+/// A snapshot over backend H serializes and takes string values through
+/// the base's own page scans wherever the subtree is unmodified, not
+/// through the generic cursor walk, which would fill H's per-node text
+/// and attribute caches: Q1–Q20 through a snapshot before and after one
+/// commit stay byte-identical to System A, and the base's resident size
+/// grows by no more than its buffer pool's frames.
+#[test]
+fn snapshots_over_h_serialize_without_filling_the_base_caches() {
+    let session = Benchmark::at_factor(0.002).generate();
+    let pool_pages = 16;
+    let h = VersionedStore::new(Arc::from(session.load_paged(Some(pool_pages)).store));
+    let a = VersionedStore::new(Arc::from(load_system(SystemId::A, session.xml()).store));
+    let base_before = h.base().size_bytes();
+    for epoch in 0..2 {
+        let (h_snap, a_snap) = (h.snapshot(), a.snapshot());
+        for q in 1..=20 {
+            assert_eq!(
+                canonical_output(h_snap.as_ref(), q),
+                canonical_output(a_snap.as_ref(), q),
+                "Q{q} diverged between H and A at epoch {epoch}"
+            );
+        }
+        if epoch == 0 {
+            for versioned in [&h, &a] {
+                let s = versioned.snapshot();
+                let auction = descend(s.as_ref(), &["open_auctions", "open_auction"]);
+                let people = descend(s.as_ref(), &["people"]);
+                let mut txn = versioned.begin();
+                txn.insert_subtree(auction, NEW_BIDDER);
+                txn.insert_subtree(people, NEW_PERSON);
+                txn.commit().expect("one commit");
+            }
+        }
+    }
+    // One page plus its bookkeeping per frame.
+    let frame_bytes = pool_pages * (xmark::store::paged::PAGE_SIZE + 128);
+    let grown = h.base().size_bytes().saturating_sub(base_before);
+    assert!(
+        grown <= frame_bytes,
+        "the base grew {grown} bytes over two Q1-Q20 passes, more than its \
+         {frame_bytes} bytes of pool frames"
+    );
+}
+
 /// One fixed update script, located structurally so it applies to any
 /// backend: grow an auction, add a person, prune a closed auction,
 /// rewrite a price.
